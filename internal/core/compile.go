@@ -269,6 +269,16 @@ type Result struct {
 	Paths []hedge.Path
 }
 
+func newResult() *Result { return &Result{Located: map[*hedge.Node]bool{}} }
+
+// add is the collecting match sink behind Locate and Select: it records
+// the node and a retained copy of its (reused) path.
+func (r *Result) add(p hedge.Path, n *hedge.Node) bool {
+	r.Located[n] = true
+	r.Paths = append(r.Paths, p.Clone())
+	return true
+}
+
 // annot is the per-node record of the first traversal, arranged as a tree
 // parallel to the hedge so both traversals run map-free in document order.
 type annot struct {
@@ -282,17 +292,8 @@ type annot struct {
 // number of nodes (modulo lazy determinization of the mirror automaton,
 // which is amortized over the finite concrete alphabet).
 func (c *CompiledPHR) Locate(h hedge.Hedge) *Result {
-	recs, ar := c.annotate(h)
-	res := &Result{Located: map[*hedge.Node]bool{}}
-	c.secondPass(h, recs, nil, c.mirror.start(), res)
-	if m := c.metrics; m != nil {
-		m.Docs.Inc()
-		m.Nodes.Add(int64(ar.size))
-		m.Marks.Add(int64(len(res.Paths)))
-		m.Transitions.Add(ar.steps + ar.elems)
-		c.flushLazy(m)
-	}
-	c.arenas.Put(ar)
+	res := newResult()
+	c.each(h, nil, c.metrics, res.add)
 	return res
 }
 
@@ -504,23 +505,6 @@ func (c *CompiledPHR) stateOfLazy(ci int, comp *component, n *hedge.Node, childr
 // determinization, which is what the complete automaton assigns to any node
 // outside the interned alphabet.
 func (c *CompiledPHR) sinkOf(comp *component) int { return comp.sink }
-
-func (c *CompiledPHR) secondPass(h hedge.Hedge, recs []annot, prefix hedge.Path, parentState int, res *Result) {
-	for i, n := range h {
-		p := append(prefix, i)
-		if n.Kind != hedge.Elem {
-			continue
-		}
-		ni := &recs[i]
-		cands := c.candidates(n.Name, ni.leftBits, ni.rightBits)
-		st := c.mirror.step(parentState, cands)
-		if c.mirror.accepting(st) {
-			res.Located[n] = true
-			res.Paths = append(res.Paths, p.Clone())
-		}
-		c.secondPass(n.Children, ni.children, p, st, res)
-	}
-}
 
 // candidates returns the bit set of base representations matched by the
 // pointed base hedge at a node: label equal and both side memberships hold

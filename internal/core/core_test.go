@@ -200,6 +200,27 @@ var phrCorpus = []string{
 	"a (b a)*",
 }
 
+// checkPaths asserts that res.Paths lists exactly the nodes the oracle
+// located, each once, in document order.
+func checkPaths(t *testing.T, src string, h hedge.Hedge, res *Result, oracle map[*hedge.Node]bool) {
+	t.Helper()
+	var want []hedge.Path
+	h.Visit(func(p hedge.Path, n *hedge.Node) bool {
+		if oracle[n] {
+			want = append(want, p.Clone())
+		}
+		return true
+	})
+	if len(res.Paths) != len(want) {
+		t.Fatalf("%q: Paths = %v, want %v in %q", src, res.Paths, want, h)
+	}
+	for i := range want {
+		if !res.Paths[i].Equal(want[i]) {
+			t.Fatalf("%q: Paths = %v, want %v in %q", src, res.Paths, want, h)
+		}
+	}
+}
+
 func TestNaiveVsAlgorithm1Random(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	cfg := hedge.RandConfig{Symbols: []string{"a", "b"}, Vars: []string{"x"}, MaxDepth: 4, MaxWidth: 3}
@@ -231,6 +252,7 @@ func TestNaiveVsAlgorithm1Random(t *testing.T) {
 				}
 				return true
 			})
+			checkPaths(t, src, h, fast, slow)
 		}
 	}
 }
@@ -304,6 +326,7 @@ func TestSelectQueryNaiveVsCompiled(t *testing.T) {
 				}
 				return true
 			})
+			checkPaths(t, qsrc, h, fast, slow)
 		}
 	}
 }

@@ -179,6 +179,18 @@ func (s *subChecker) materialize() {
 	})
 }
 
+// flushLazy folds the since-last-flush lazy-determinization deltas of a
+// lazily compiled e₁ automaton into the metrics sink; a no-op when eager.
+func (s *subChecker) flushLazy(m *metrics.Eval) {
+	if s.lazy == nil {
+		return
+	}
+	d := s.lazy.FlushDelta()
+	m.LazyStates.Add(d.StatesBuilt)
+	m.LazyHits.Add(d.Hits)
+	m.LazyEvictions.Add(d.Evictions)
+}
+
 // PreinternQuery interns every name the compilation of q will intern —
 // element labels, variables, and the substitution variables of embeddings
 // and '.' desugaring. Callers that compile against an immutable alphabet
@@ -255,18 +267,6 @@ func (cq *CompiledQuery) LazyStats() ha.LazyStats {
 	return s
 }
 
-// flushLazy folds the lazy-determinization deltas of every lazily compiled
-// automaton of the query into the metrics sink (see CompiledPHR.flushLazy).
-func (cq *CompiledQuery) flushLazy(m *metrics.Eval) {
-	cq.phr.flushLazy(m)
-	if cq.sub != nil && cq.sub.lazy != nil {
-		d := cq.sub.lazy.FlushDelta()
-		m.LazyStates.Add(d.StatesBuilt)
-		m.LazyHits.Add(d.Hits)
-		m.LazyEvictions.Add(d.Evictions)
-	}
-}
-
 // materializeEager builds the eager determinizations of a lazily compiled
 // query. Schema-level constructions (BuildMatchAutomaton) need the concrete
 // DFAs; per-document evaluation keeps using the lazy path.
@@ -281,24 +281,8 @@ func (cq *CompiledQuery) materializeEager() {
 
 // Select returns the nodes of h located by the query (Definition 22).
 func (cq *CompiledQuery) Select(h hedge.Hedge) *Result {
-	if cq.sub == nil {
-		return cq.phr.Locate(h)
-	}
-	// Combined evaluation: the PHR annotation tree and the e₁ marking tree
-	// walk the document in lockstep with the mirror automaton.
-	phrRecs, ar := cq.phr.annotate(h)
-	subRecs, sar := cq.sub.annotate(h)
-	res := &Result{Located: map[*hedge.Node]bool{}}
-	cq.selectWalk(h, phrRecs, subRecs, nil, cq.phr.mirror.start(), res)
-	if m := cq.metrics; m != nil {
-		m.Docs.Inc()
-		m.Nodes.Add(int64(ar.size))
-		m.Marks.Add(int64(len(res.Paths)))
-		m.Transitions.Add(ar.steps + ar.elems + sar.steps)
-		cq.flushLazy(m)
-	}
-	cq.phr.arenas.Put(ar)
-	cq.sub.arenas.Put(sar)
+	res := newResult()
+	cq.SelectEach(h, res.add)
 	return res
 }
 
@@ -309,40 +293,49 @@ func (cq *CompiledQuery) Select(h hedge.Hedge) *Result {
 // comes from recycled arenas, so repeated evaluation — the streaming
 // per-record hot loop — allocates nothing in steady state.
 func (cq *CompiledQuery) SelectEach(h hedge.Hedge, fn func(p hedge.Path, n *hedge.Node) bool) bool {
-	phrRecs, ar := cq.phr.annotate(h)
+	return cq.phr.each(h, cq.sub, cq.metrics, fn)
+}
+
+// each is Algorithm 1 over h: the annotation pass (plus the e₁ marking pass
+// when sub is non-nil, walked in lockstep), then one top-down walk of the
+// mirror automaton yielding every located node to fn. It flushes one
+// document's counters to m when m is non-nil.
+func (c *CompiledPHR) each(h hedge.Hedge, sub *subChecker, m *metrics.Eval, fn func(p hedge.Path, n *hedge.Node) bool) bool {
+	phrRecs, ar := c.annotate(h)
 	var subRecs []subAnnot
 	var sar *subArena
-	if cq.sub != nil {
-		subRecs, sar = cq.sub.annotate(h)
+	if sub != nil {
+		subRecs, sar = sub.annotate(h)
 	}
 	w := eachPool.Get().(*eachWalker)
-	w.cq, w.fn, w.marks = cq, fn, 0
-	done := w.walk(h, phrRecs, subRecs, cq.phr.mirror.start())
-	if m := cq.metrics; m != nil {
+	w.phr, w.fn, w.marks = c, fn, 0
+	done := w.walk(h, phrRecs, subRecs, c.mirror.start())
+	if m != nil {
 		m.Docs.Inc()
 		m.Nodes.Add(int64(ar.size))
 		m.Marks.Add(w.marks)
 		steps := ar.steps + ar.elems
+		c.flushLazy(m)
 		if sar != nil {
 			steps += sar.steps
+			sub.flushLazy(m)
 		}
 		m.Transitions.Add(steps)
-		cq.flushLazy(m)
 	}
-	w.cq, w.fn = nil, nil
+	w.phr, w.fn = nil, nil
 	w.path = w.path[:0]
 	eachPool.Put(w)
-	cq.phr.arenas.Put(ar)
+	c.arenas.Put(ar)
 	if sar != nil {
-		cq.sub.arenas.Put(sar)
+		sub.arenas.Put(sar)
 	}
 	return done
 }
 
-// eachWalker is the second-traversal state of SelectEach: the shared Dewey
-// path buffer grows and shrinks in place as the walk descends.
+// eachWalker is the second traversal of Algorithm 1: the shared Dewey path
+// buffer grows and shrinks in place as the walk descends.
 type eachWalker struct {
-	cq    *CompiledQuery
+	phr   *CompiledPHR
 	fn    func(p hedge.Path, n *hedge.Node) bool
 	path  hedge.Path
 	marks int64 // located nodes yielded by this walk
@@ -351,7 +344,7 @@ type eachWalker struct {
 var eachPool = sync.Pool{New: func() any { return &eachWalker{path: make(hedge.Path, 0, 32)} }}
 
 func (w *eachWalker) walk(h hedge.Hedge, phrRecs []annot, subRecs []subAnnot, parentState int) bool {
-	phr := w.cq.phr
+	phr := w.phr
 	for i, n := range h {
 		if n.Kind != hedge.Elem {
 			continue
@@ -376,23 +369,6 @@ func (w *eachWalker) walk(h hedge.Hedge, phrRecs []annot, subRecs []subAnnot, pa
 		w.path = w.path[:len(w.path)-1]
 	}
 	return true
-}
-
-func (cq *CompiledQuery) selectWalk(h hedge.Hedge, phrRecs []annot, subRecs []subAnnot, prefix hedge.Path, parentState int, res *Result) {
-	for i, n := range h {
-		p := append(prefix, i)
-		if n.Kind != hedge.Elem {
-			continue
-		}
-		ni := &phrRecs[i]
-		cands := cq.phr.candidates(n.Name, ni.leftBits, ni.rightBits)
-		st := cq.phr.mirror.step(parentState, cands)
-		if cq.phr.mirror.accepting(st) && subRecs[i].marked {
-			res.Located[n] = true
-			res.Paths = append(res.Paths, p.Clone())
-		}
-		cq.selectWalk(n.Children, ni.children, subRecs[i].children, p, st, res)
-	}
 }
 
 // subAnnot is the per-node record of the e₁ marking pass (Theorem 3's bit).

@@ -253,7 +253,7 @@ func BenchJSON(quick bool) (*BenchReport, error) {
 
 	// Disabled-tracing overhead: the pipeline's per-record trace path when
 	// nothing is attached is one sink nil-check, one boolean, and the
-	// branches guarding each would-be clock read (see stream.runSequential).
+	// branches guarding each would-be clock read (see stream.pipeline).
 	// The hooked side wraps one evaluation in exactly that hook sequence —
 	// against a nil sink, so every branch takes its disabled arm.
 	//

@@ -737,6 +737,20 @@ type matchLine struct {
 	Term       string `json:"term"`
 }
 
+// enableFullDuplex lets a streaming handler keep reading the request body
+// after the response has started: without it net/http discards an unread
+// body under 256 KB at the first flush, cutting a kept-alive post short at
+// its first delivered match. Callers must also defer r.Body.Close(), which
+// settles a body the handler left unread (a refusal, an aborted run)
+// before the handler returns, as net/http does without full duplex; left
+// to the server's post-handler cleanup, that drain races the connection's
+// read of the next request.
+func enableFullDuplex(w http.ResponseWriter) {
+	// The error only reports a writer with no such mode (HTTP/2 streams
+	// are always full duplex); the handler streams either way.
+	_ = http.NewResponseController(w).EnableFullDuplex()
+}
+
 // summaryLine closes every NDJSON stream. Records+Prefiltered is the
 // total record count the splitter saw — the invariant the differential
 // harness pins — so consumers can compute the skim rate directly.
@@ -793,6 +807,8 @@ func (s *Server) finishStream(write func(any) error, stats xpe.StreamStats, nq i
 // posted document — the single-query end of the serving surface, no
 // registration required.
 func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
+	enableFullDuplex(w)
+	defer r.Body.Close()
 	sw := &statusWriter{ResponseWriter: w}
 	start := time.Now()
 	rid := s.requestID(sw, r)
@@ -864,6 +880,8 @@ func (s *Server) applyTelemetry(opts *xpe.SelectOptions, rid, tenant, feed strin
 // refused before touching admission, and record failures inside the run
 // feed the breaker's streak.
 func (s *Server) handleFeed(w http.ResponseWriter, r *http.Request) {
+	enableFullDuplex(w)
+	defer r.Body.Close()
 	sw := &statusWriter{ResponseWriter: w}
 	start := time.Now()
 	rid := s.requestID(sw, r)

@@ -212,6 +212,41 @@ func TestServeSelectOneShot(t *testing.T) {
 	}
 }
 
+// TestServeKeepAliveBodies: a post smaller than net/http's 256 KB
+// unread-body allowance must still be read in full once the response has
+// started streaming. Without full duplex the server discards the rest of
+// the body at the first flush, so the run stops early on kept-alive
+// connections. Two posts per endpoint through one client reuse the
+// connection.
+func TestServeKeepAliveBodies(t *testing.T) {
+	_, ts := newTestServer(t, Options{Engine: xpe.NewEngine()})
+	mustRegister(t, ts, `{"tenant":"t1","name":"prices","query":"price doc* *","feed":"market"}`)
+	const records = 400
+	var b strings.Builder
+	b.WriteString("<corpus>")
+	for i := 0; i < records; i++ {
+		fmt.Fprintf(&b, "<doc><price>%d</price><sku>item-%05d</sku><memo>in stock</memo></doc>", i, i)
+	}
+	b.WriteString("</corpus>")
+	doc := b.String()
+	if len(doc) < 25<<10 {
+		t.Fatalf("feed is %d bytes; the test needs a multi-flush body", len(doc))
+	}
+	urls := []string{
+		ts.URL + "/v1/feed/market",
+		ts.URL + "/v1/select?query=" + strings.ReplaceAll("price doc* *", " ", "+"),
+	}
+	for _, u := range urls {
+		for round := 0; round < 2; round++ {
+			matches, summary, _ := postNDJSON(t, u, doc)
+			if summary.Records != records || len(matches) != records {
+				t.Fatalf("POST %s round %d: records = %d, %d match lines; want %d of each",
+					u, round, summary.Records, len(matches), records)
+			}
+		}
+	}
+}
+
 func TestServeRegistrationValidation(t *testing.T) {
 	_, ts := newTestServer(t, Options{Engine: xpe.NewEngine()})
 	cases := []struct {

@@ -181,17 +181,50 @@ func TestChaosSkipRecordBytes(t *testing.T) {
 func TestChaosStreamBudgetAbortsDespiteSkip(t *testing.T) {
 	spec := faultinject.FeedSpec{Records: 100}
 	cq := chaosQuery(t)
+	outcomes := map[int][]string{}
 	for _, workers := range []int{1, 4} {
+		tr := trace.New(256)
 		_, err := Run(context.Background(), spec.Reader(), cq,
 			Config{
 				Workers: workers, Split: spec.SplitName(), MaxStreamBytes: 300,
 				OnRecordError: func(*RecordError) error { return nil },
+				Trace:         tr,
 			},
 			func(r *Result) error { return nil })
 		var le *xmlhedge.LimitError
 		if !errors.As(err, &le) || le.Kind != "stream" {
 			t.Fatalf("workers=%d: err = %v, want stream LimitError", workers, err)
 		}
+		outcomes[workers] = abortedOnce(t, workers, tr)
+	}
+	sameOutcomes(t, outcomes[1], outcomes[4])
+}
+
+// abortedOnce returns a run's trace outcomes in commit order, failing the
+// test unless the last — and only the last — is "aborted": a stream-fatal
+// failure commits exactly one aborted trace, after the records ahead of
+// it, at every worker count.
+func abortedOnce(t *testing.T, workers int, tr *trace.Tracer) []string {
+	t.Helper()
+	var out []string
+	for _, rt := range tr.Traces() {
+		out = append(out, fmt.Sprintf("%d:%s", rt.Index, rt.Outcome))
+		if (rt.Outcome == "aborted") != (len(out) == int(tr.Total())) {
+			t.Fatalf("workers=%d: trace %d of %d is %+v; want ok traces then one aborted", workers, len(out), tr.Total(), rt)
+		}
+	}
+	if len(out) == 0 {
+		t.Fatalf("workers=%d: no trace committed", workers)
+	}
+	return out
+}
+
+// sameOutcomes asserts that two runs committed the same traces: count,
+// record indices, and outcomes.
+func sameOutcomes(t *testing.T, w1, w4 []string) {
+	t.Helper()
+	if strings.Join(w1, " ") != strings.Join(w4, " ") {
+		t.Fatalf("traces diverge across worker counts:\n  workers=1: %v\n  workers=4: %v", w1, w4)
 	}
 }
 
@@ -242,14 +275,17 @@ func TestChaosReaderFailureBypassesPolicy(t *testing.T) {
 	// policy, and the policy is never consulted for it.
 	spec := faultinject.FeedSpec{Records: 50}
 	cq := chaosQuery(t)
+	outcomes := map[int][]string{}
 	for _, workers := range []int{1, 4} {
 		policyCalls := 0
+		tr := trace.New(256)
 		_, err := Run(context.Background(),
 			faultinject.NewReader(spec.Reader(), faultinject.ReaderOptions{FailAfter: 200}),
 			cq,
 			Config{
 				Workers: workers, Split: spec.SplitName(),
 				OnRecordError: func(*RecordError) error { policyCalls++; return nil },
+				Trace:         tr,
 			},
 			func(r *Result) error { return nil })
 		if !errors.Is(err, faultinject.ErrInjected) {
@@ -258,7 +294,9 @@ func TestChaosReaderFailureBypassesPolicy(t *testing.T) {
 		if policyCalls != 0 {
 			t.Fatalf("workers=%d: policy consulted %d times for an I/O error", workers, policyCalls)
 		}
+		outcomes[workers] = abortedOnce(t, workers, tr)
 	}
+	sameOutcomes(t, outcomes[1], outcomes[4])
 }
 
 func TestChaosTruncatedFeed(t *testing.T) {

@@ -10,7 +10,7 @@ import (
 )
 
 // TestRunMetricsAccounting: one streaming run flushes consistent splitter
-// and stage metrics for both the sequential and the parallel engine.
+// and stage metrics at one worker (inline) and at several (goroutines).
 func TestRunMetricsAccounting(t *testing.T) {
 	for _, workers := range []int{1, 3} {
 		names := ha.NewNames()

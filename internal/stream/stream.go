@@ -5,9 +5,16 @@
 // and evaluated with Algorithm 1, and the per-record results are delivered
 // through a callback in document order — as soon as each record completes.
 //
+// One pipeline serves every worker count: a read stage fills a batch slot
+// from the splitter, an evaluate stage runs Algorithm 1 on it, and a route
+// stage applies the failure policy, commits the record's trace, and
+// delivers it, in document order. With one worker the caller's goroutine
+// runs the three stages inline, one record at a time; with more, producer,
+// worker, and collector goroutines wrap the same stages around batches.
+//
 // Peak memory is O(largest record × in-flight records), never O(document):
-// with W workers at most W+1 record arenas exist, and a single-worker run
-// holds exactly one. Records are independent evaluation units — each is
+// a parallel run holds Workers+2 batch arenas, and a single-worker run
+// holds exactly one record arena. Records are independent evaluation units — each is
 // treated as its own document, so a query's envelope conditions range over
 // the record subtree only (the paper's Algorithm 1 run per record). That is
 // the semantics that admits single-pass bounded-memory evaluation: sibling
@@ -63,8 +70,8 @@ type Config struct {
 	// runs (0 = auto, currently 32; 1 restores record-at-a-time handoff).
 	// Larger batches amortize channel and scheduler costs per record but
 	// raise peak memory — the bound is O(largest record × BatchSize ×
-	// (Workers+2)) — and delivery latency for slow producers. Sequential
-	// runs ignore it.
+	// (Workers+2)) — and delivery latency for slow producers. A one-worker
+	// run ignores it: it runs the stages inline, one record at a time.
 	BatchSize int
 	// MaxRecordNodes / MaxRecordDepth bound individual records (0 =
 	// unlimited); a violating record fails with *xmlhedge.LimitError,
@@ -85,7 +92,7 @@ type Config struct {
 	// OnRecordError is the per-record failure policy. Nil aborts the run
 	// on the first failure with the raw error (legacy behavior). When set,
 	// it is called once per failed record, in document order, on the
-	// goroutine running the collector (never concurrently): return nil to
+	// goroutine that routes records (never concurrently): return nil to
 	// skip the record, or an error to abort the run with it.
 	OnRecordError func(*RecordError) error
 	// Inject, when non-nil, is called at the fault-injection points (test
@@ -109,8 +116,8 @@ type Config struct {
 	Metrics *metrics.Metrics
 	// Trace, when non-nil, receives one trace.RecordTrace per record that
 	// reaches an in-order verdict — delivered, skipped, or aborting the
-	// run (parallel runs may abort without a trace when the failure
-	// bypasses the policy). Stage timings are assembled whenever Trace or
+	// run, stream-fatal failures included; cancellation commits none for
+	// the record it interrupts. Stage timings are assembled whenever Trace or
 	// OnSlow is set, at the same cost as Metrics timing; splitter events
 	// ride the trace of the record being produced when they fired, so
 	// recovery activity for a skipped record lands on the *following*
@@ -145,22 +152,6 @@ const (
 	// PrefilterOff never prefilters; every record is parsed and evaluated.
 	PrefilterOff
 )
-
-// tracing reports whether per-record traces must be assembled: a ring to
-// commit into, or a slow-record callback to feed.
-func (cfg *Config) tracing() bool { return cfg.Trace != nil || cfg.OnSlow != nil }
-
-// commitTrace finalizes one record trace: totals the stage spans, stores
-// the trace in the flight-recorder ring, and routes it to the slow-record
-// callback when it crossed the threshold.
-func commitTrace(cfg *Config, rt trace.RecordTrace) {
-	rt.TotalNS = rt.SplitNS + rt.EvalNS + rt.DeliverNS
-	rt.RequestID = cfg.RequestID
-	cfg.Trace.Commit(rt)
-	if cfg.OnSlow != nil && cfg.SlowThreshold > 0 && rt.TotalNS >= int64(cfg.SlowThreshold) {
-		cfg.OnSlow(rt)
-	}
-}
 
 // Injector is the fault-injection hook: BeforeEval runs at the start of
 // each record's evaluation, inside the panic-containment scope, so an
@@ -219,22 +210,32 @@ type Result struct {
 	// collected; safeEvaluate sets it before each query's traversal.
 	curQuery int
 	pathBuf  []int
-	// collect caches the bound SelectEach match sink. The callback escapes
-	// into a pooled walker on every evaluation, so an uncached closure
-	// would cost one heap allocation per record; the method value here is
-	// allocated once per Result lifetime instead. reset keeps it.
+	// collect and explain cache the bound SelectEach and ExplainEach match
+	// sinks. The callbacks escape into pooled walkers on every evaluation,
+	// so uncached closures would cost heap allocations per record; these
+	// method values are allocated once per Result lifetime instead. reset
+	// keeps them.
 	collect func(p hedge.Path, n *hedge.Node) bool
-	// fail marks a contained per-record failure (always a *RecordError)
-	// traveling the pipeline in place of matches; the collector routes it
-	// through the error policy at the record's in-order position.
+	explain func(w core.Witness, n *hedge.Node) bool
+	// deadline, when non-zero, is the record's evaluation deadline; the
+	// sinks sample it every 64 matches (seen counts them) and set timedOut
+	// when they stop the walk on it.
+	deadline time.Time
+	seen     int
+	timedOut bool
+	// fail marks a failure traveling the pipeline in place of matches:
+	// a *RecordError for a contained failure the policy decides, or the
+	// raw error of a stream-fatal splitter failure. route settles it at
+	// the record's in-order position.
 	fail error
-	// await, on splitter-failure tombstones, carries the policy verdict
-	// back to the producer, which is blocked mid-recovery waiting for it.
+	// await, on recoverable splitter-failure tombstones of a parallel run,
+	// carries the policy verdict back to the producer, which is blocked
+	// mid-recovery waiting for it.
 	await chan error
-	// splitNS/evalNS/events carry the producer's and worker's trace
-	// contributions to the collector when tracing is on. They are not
-	// cleared by reset — the worker resets after the producer has already
-	// stamped them — so every tracing-enabled path must set all three.
+	// splitNS/evalNS/events carry the read and evaluate stages' trace
+	// contributions to route when tracing is on. They are not cleared by
+	// reset — evaluation resets after read has already stamped them — so
+	// every tracing-enabled path must set all three.
 	splitNS int64
 	evalNS  int64
 	events  []trace.Event
@@ -245,6 +246,7 @@ func (r *Result) reset() {
 	r.Matches = r.Matches[:0]
 	r.pathBuf = r.pathBuf[:0]
 	r.curQuery = 0
+	r.deadline, r.seen, r.timedOut = time.Time{}, 0, false
 	r.fail = nil
 	r.await = nil
 }
@@ -258,10 +260,31 @@ func (r *Result) addMatch(p hedge.Path, n *hedge.Node) {
 		Path: r.pathBuf[start:len(r.pathBuf):len(r.pathBuf)], Node: n})
 }
 
-// collectMatch is the unbounded match sink: append and keep going.
+// inBudget reports whether the walk may go on: always without a deadline,
+// otherwise until a clock sample (one per 64 matches) finds it passed.
+func (r *Result) inBudget() bool {
+	if r.deadline.IsZero() {
+		return true
+	}
+	if r.seen++; r.seen&63 == 0 && time.Now().After(r.deadline) {
+		r.timedOut = true
+		return false
+	}
+	return true
+}
+
+// collectMatch is the SelectEach match sink.
 func (r *Result) collectMatch(p hedge.Path, n *hedge.Node) bool {
 	r.addMatch(p, n)
-	return true
+	return r.inBudget()
+}
+
+// explainMatch is the ExplainEach match sink: each match carries its
+// freshly allocated witness.
+func (r *Result) explainMatch(w core.Witness, n *hedge.Node) bool {
+	r.addMatch(w.Path, n)
+	r.Matches[len(r.Matches)-1].Witness = &w
+	return r.inBudget()
 }
 
 // sink returns the cached bound collectMatch, creating it on first use.
@@ -270,6 +293,15 @@ func (r *Result) sink() func(p hedge.Path, n *hedge.Node) bool {
 		r.collect = r.collectMatch
 	}
 	return r.collect
+}
+
+// explainSink returns the cached bound explainMatch, creating it on first
+// use.
+func (r *Result) explainSink() func(w core.Witness, n *hedge.Node) bool {
+	if r.explain == nil {
+		r.explain = r.explainMatch
+	}
+	return r.explain
 }
 
 // ErrStop, returned by a yield callback, ends the stream early with no
@@ -361,20 +393,22 @@ func runQueries(ctx context.Context, r io.Reader, qs []*core.CompiledQuery, cfg 
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	var ms *metrics.Stream
+	p := &pipeline{qs: qs, cfg: cfg, yield: yield}
 	if cfg.Metrics != nil {
 		ropts.Metrics = &cfg.Metrics.Split
-		ms = &cfg.Metrics.Stream
-		ms.Runs.Inc()
-		ms.Workers.Set(int64(workers))
+		p.ms = &cfg.Metrics.Stream
+		p.ms.Runs.Inc()
+		p.ms.Workers.Set(int64(workers))
 		start := time.Now()
-		defer func() { ms.WallTime.Observe(time.Since(start)) }()
+		defer func() { p.ms.WallTime.Observe(time.Since(start)) }()
 	}
-	var sink *trace.EventSink
-	if cfg.tracing() {
-		sink = trace.NewEventSink()
-		ropts.Events = sink
+	if cfg.Trace != nil || cfg.OnSlow != nil {
+		// Traces must be assembled: a ring to commit into, or a slow-record
+		// callback to feed.
+		p.sink = trace.NewEventSink()
+		ropts.Events = p.sink
 	}
+	p.timed = p.ms != nil || p.sink.Enabled()
 	if cfg.Prefilter == PrefilterAuto {
 		if len(qs) == 1 {
 			// NewPrefilter returns nil when the query has no required labels
@@ -395,16 +429,16 @@ func runQueries(ctx context.Context, r io.Reader, qs []*core.CompiledQuery, cfg 
 	// pointers (the same compilation registered under several indices)
 	// count once.
 	lz0 := lazyTotals(qs)
-	var stats Stats
 	var err error
 	if workers <= 1 {
 		ropts.Ctx = ctx
-		rr := xmlhedge.NewRecordReader(r, ropts)
-		stats, err = runSequential(ctx, rr, qs, cfg, ms, sink, yield)
-		stats.Prefiltered = rr.Prefiltered()
+		p.rr = xmlhedge.NewRecordReader(r, ropts)
+		err = p.runInline(ctx)
 	} else {
-		stats, err = runParallel(ctx, r, ropts, qs, workers, cfg, ms, sink, yield)
+		err = p.runParallel(ctx, r, ropts, workers)
 	}
+	stats := p.stats
+	stats.Bytes, stats.Prefiltered = p.rr.InputOffset(), p.rr.Prefiltered()
 	lzd := lazyTotals(qs).Sub(lz0)
 	stats.LazyStates = lzd.StatesBuilt
 	stats.LazyHits = lzd.Hits
@@ -451,62 +485,39 @@ func safeEvaluate(qs []*core.CompiledQuery, rec *xmlhedge.Record, res *Result, c
 	res.Index, res.Path, res.Nodes = rec.Index, rec.Path, rec.Nodes
 	timeout := cfg.RecordTimeout
 	var start time.Time
-	if timeout > 0 || cfg.Inject != nil {
+	if timeout > 0 {
+		// Cooperative deadline: sampled every 64 matches during a traversal
+		// (Algorithm 1 is linear and terminating — the budget targets slow
+		// records, not infinite loops), between queries, and once more at
+		// the end. The clock starts before the injection point, so injected
+		// stalls count against the budget.
 		start = time.Now()
+		res.deadline = start.Add(timeout)
 	}
 	if cfg.Inject != nil {
 		cfg.Inject.BeforeEval(rec.Index)
 	}
-	// Cooperative deadline: sampled every 64 matches during a traversal
-	// (Algorithm 1 is linear and terminating — the budget targets slow
-	// records, not infinite loops), between queries, and once more at the
-	// end.
-	var deadline time.Time
-	if timeout > 0 {
-		deadline = start.Add(timeout)
-	}
-	n, timedOut := 0, false
 	for qi, cq := range qs {
 		if !rec.Hint.Allows(qi) {
 			continue
 		}
-		if timeout > 0 && time.Now().After(deadline) {
-			timedOut = true
+		if timeout > 0 && time.Now().After(res.deadline) {
+			res.timedOut = true
 			break
 		}
 		res.curQuery = qi
-		switch {
-		case cfg.Explain:
+		if cfg.Explain {
 			// Provenance capture: ExplainEach locates exactly what
 			// SelectEach does, with each match carrying its witness.
-			cq.ExplainEach(rec.Hedge, func(w core.Witness, node *hedge.Node) bool {
-				res.addMatch(w.Path, node)
-				res.Matches[len(res.Matches)-1].Witness = &w
-				if timeout > 0 {
-					if n++; n&63 == 0 && time.Now().After(deadline) {
-						timedOut = true
-						return false
-					}
-				}
-				return true
-			})
-		case timeout <= 0:
+			cq.ExplainEach(rec.Hedge, res.explainSink())
+		} else {
 			cq.SelectEach(rec.Hedge, res.sink())
-		default:
-			cq.SelectEach(rec.Hedge, func(p hedge.Path, node *hedge.Node) bool {
-				res.addMatch(p, node)
-				if n++; n&63 == 0 && time.Now().After(deadline) {
-					timedOut = true
-					return false
-				}
-				return true
-			})
 		}
-		if timedOut {
+		if res.timedOut {
 			break
 		}
 	}
-	if timeout > 0 && (timedOut || time.Since(start) > timeout) {
+	if timeout > 0 && (res.timedOut || time.Since(start) > timeout) {
 		return &RecordError{Index: rec.Index, Path: rec.Path, Err: ErrRecordTimeout}
 	}
 	return nil
@@ -529,155 +540,220 @@ func recordFailure(rr *xmlhedge.RecordReader, err error) *RecordError {
 	return fail
 }
 
-// runSequential is the single-worker hot loop: one arena, one Result, no
-// goroutines — steady-state evaluation allocates nothing, with or without
-// a metrics sink (timing is two clock reads per stage per record).
-func runSequential(ctx context.Context, rr *xmlhedge.RecordReader, qs []*core.CompiledQuery, cfg Config, ms *metrics.Stream, sink *trace.EventSink, yield func(*Result) error) (Stats, error) {
-	// The arena and Result ride in a pooled single-item batch so
-	// back-to-back runs reuse warm storage: one short stream never
-	// amortizes cold chunk growth on its own.
-	st := getBatch(1)
-	defer batchPool.Put(st)
-	var (
-		stats Stats
-		t0    time.Time
-	)
-	arena, res := &st.arena, &st.items[0].res
-	pol := cfg.OnRecordError
-	tracing := sink.Enabled()
-	timed := ms != nil || tracing
-	commit := func(rt trace.RecordTrace) {
-		rt.Events = sink.Drain()
-		commitTrace(&cfg, rt)
+// pipeline is one run's three stage functions and the state they share:
+// read fills a batch slot from the splitter, evaluate runs the queries on
+// it, and route settles each slot in document order. At one worker the
+// caller's goroutine calls them back to back (runInline); otherwise the
+// producer, worker, and collector goroutines of runParallel wrap the same
+// functions, so both shapes apply the policy, count, trace, and deliver
+// through one routine.
+type pipeline struct {
+	rr    *xmlhedge.RecordReader
+	qs    []*core.CompiledQuery
+	cfg   Config
+	ms    *metrics.Stream  // nil: no metrics sink
+	sink  *trace.EventSink // nil: tracing off
+	timed bool             // stage clocks run (metrics or tracing)
+	yield func(*Result) error
+	stats Stats // written by route only
+}
+
+// read is the split stage. It fills slot it with the next record, parsed
+// into arena, or with a tombstone for a splitter failure: fail carries a
+// *RecordError when the policy may skip the record, and the raw error
+// when the failure is stream-fatal (no policy, or a failure Recover cannot
+// resume past — reader I/O, the stream byte budget, malformed markup with
+// no named split). It returns io.EOF at the end of input and ctx's error
+// once ctx is done, leaving the slot unfilled.
+func (p *pipeline) read(ctx context.Context, arena *xmlhedge.Arena, it *batchItem) error {
+	var t0 time.Time
+	if p.timed {
+		t0 = time.Now()
 	}
-	for {
-		if err := ctx.Err(); err != nil {
-			stats.Bytes = rr.InputOffset()
-			return stats, err
+	rec, err := p.rr.Read(arena)
+	var splitNS int64
+	if p.timed {
+		d := time.Since(t0)
+		splitNS = int64(d)
+		if p.ms != nil {
+			p.ms.SplitTime.Observe(d)
 		}
-		arena.Reset()
-		if timed {
-			t0 = time.Now()
+	}
+	r := &it.res
+	switch {
+	case err == nil:
+		it.rec = rec
+		// fail/await must be cleared here: evaluate's tombstone check reads
+		// them before safeEvaluate's reset runs.
+		r.fail, r.await = nil, nil
+	case err == io.EOF:
+		return err
+	case ctx.Err() != nil:
+		return ctx.Err()
+	default:
+		fail := recordFailure(p.rr, err)
+		r.reset()
+		r.Index, r.Path, r.Nodes = fail.Index, fail.Path, 0
+		if p.cfg.OnRecordError != nil && p.rr.CanRecover() {
+			r.fail = fail
+		} else {
+			r.fail = err
 		}
-		rec, err := rr.Read(arena)
-		var splitNS int64
-		if timed {
-			d := time.Since(t0)
-			splitNS = int64(d)
-			if ms != nil {
-				ms.SplitTime.Observe(d)
-			}
+	}
+	r.splitNS, r.evalNS, r.events = splitNS, 0, p.sink.Drain()
+	return nil
+}
+
+// evaluate is the eval stage: it runs the queries over a healthy slot,
+// leaving a contained failure (always a *RecordError) in its fail.
+// Tombstones pass through. Safe to call from several goroutines on
+// distinct slots.
+func (p *pipeline) evaluate(it *batchItem) {
+	r := &it.res
+	if r.fail != nil {
+		return
+	}
+	var t0 time.Time
+	if p.timed {
+		t0 = time.Now()
+	}
+	if fail := safeEvaluate(p.qs, &it.rec, r, &p.cfg); fail != nil {
+		r.fail = fail
+	}
+	if p.timed {
+		d := time.Since(t0)
+		r.evalNS = int64(d)
+		if p.ms != nil {
+			p.ms.EvalTime.Observe(d)
+			p.ms.RecordLatency.Observe(d)
 		}
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			stats.Bytes = rr.InputOffset()
-			splitTrace := func(outcome string, cause error) {
-				if tracing {
-					fail := recordFailure(rr, err)
-					commit(trace.RecordTrace{Index: fail.Index, Path: fail.Path.String(),
-						SplitNS: splitNS, Outcome: outcome, Error: cause.Error()})
-				}
-			}
-			if pol == nil || !rr.CanRecover() {
-				splitTrace("aborted", err)
-				return stats, err
-			}
-			if perr := pol(recordFailure(rr, err)); perr != nil {
-				splitTrace("aborted", perr)
-				return stats, perr
-			}
-			stats.Skipped++
-			if ms != nil {
-				ms.RecordsSkipped.Inc()
-			}
-			splitTrace("skipped", err)
-			if rerr := rr.Recover(); rerr != nil {
-				return stats, rerr
-			}
-			continue
-		}
-		if timed {
-			t0 = time.Now()
-		}
-		evalErr := safeEvaluate(qs, &rec, res, &cfg)
-		var evalNS int64
-		if timed {
-			d := time.Since(t0)
-			evalNS = int64(d)
-			if ms != nil {
-				ms.EvalTime.Observe(d)
-				ms.RecordLatency.Observe(d)
-			}
-		}
-		if evalErr != nil {
-			if _, isPanic := evalErr.Err.(*PanicError); isPanic {
-				stats.Recovered++
+	}
+}
+
+// route is the delivery stage, called in document order from one
+// goroutine: the only place OnRecordError is consulted, Stats and the
+// record-outcome counters move, traces are committed, and yield runs — so
+// the policy and OnSlow are never invoked concurrently. A failure is
+// skipped or aborts the run; a healthy record is delivered. route reports
+// whether the run ends at this slot and with which error (nil when yield
+// returned ErrStop). Stream-fatal tombstones abort without consulting the
+// policy.
+func (p *pipeline) route(r *Result) (bool, error) {
+	ms := p.ms
+	if r.fail != nil {
+		verdict := r.fail
+		if rerr, contained := r.fail.(*RecordError); contained {
+			if _, isPanic := rerr.Err.(*PanicError); isPanic {
+				p.stats.Recovered++
 				if ms != nil {
 					ms.PanicsRecovered.Inc()
 				}
 			}
-			if errors.Is(evalErr.Err, ErrRecordTimeout) {
-				stats.TimedOut++
+			if errors.Is(rerr.Err, ErrRecordTimeout) {
+				p.stats.TimedOut++
 				if ms != nil {
 					ms.RecordsTimedOut.Inc()
 				}
 			}
-			evalTrace := func(outcome string, cause error) {
-				if tracing {
-					commit(trace.RecordTrace{Index: res.Index, Path: res.Path.String(),
-						SplitNS: splitNS, EvalNS: evalNS, Nodes: res.Nodes,
-						Matches: len(res.Matches), Outcome: outcome, Error: cause.Error()})
-				}
-			}
-			if pol == nil {
-				stats.Bytes = rr.InputOffset()
-				evalTrace("aborted", evalErr)
-				return stats, evalErr
-			}
-			if perr := pol(evalErr); perr != nil {
-				stats.Bytes = rr.InputOffset()
-				evalTrace("aborted", perr)
-				return stats, perr
-			}
-			stats.Skipped++
-			if ms != nil {
-				ms.RecordsSkipped.Inc()
-			}
-			evalTrace("skipped", evalErr)
-			continue
-		}
-		stats.Records++
-		stats.Nodes += int64(res.Nodes)
-		stats.Matches += int64(len(res.Matches))
-		if timed {
-			t0 = time.Now()
-		}
-		err = yield(res)
-		var deliverNS int64
-		if timed {
-			d := time.Since(t0)
-			deliverNS = int64(d)
-			if ms != nil {
-				ms.DeliverTime.Observe(d)
+			if pol := p.cfg.OnRecordError; pol != nil {
+				verdict = pol(rerr)
 			}
 		}
-		if tracing {
-			commit(trace.RecordTrace{Index: res.Index, Path: res.Path.String(),
-				SplitNS: splitNS, EvalNS: evalNS, DeliverNS: deliverNS,
-				Nodes: res.Nodes, Matches: len(res.Matches), Outcome: "ok"})
+		if verdict != nil {
+			p.commit(r, "aborted", verdict, 0)
+			return true, verdict
 		}
-		if err != nil {
-			stats.Bytes = rr.InputOffset()
-			if errors.Is(err, ErrStop) {
-				return stats, nil
-			}
-			return stats, err
+		p.stats.Skipped++
+		if ms != nil {
+			ms.RecordsSkipped.Inc()
+		}
+		p.commit(r, "skipped", r.fail, 0)
+		return false, nil
+	}
+	p.stats.Records++
+	p.stats.Nodes += int64(r.Nodes)
+	p.stats.Matches += int64(len(r.Matches))
+	var t0 time.Time
+	if p.timed {
+		t0 = time.Now()
+	}
+	err := p.yield(r)
+	var deliverNS int64
+	if p.timed {
+		d := time.Since(t0)
+		deliverNS = int64(d)
+		if ms != nil {
+			ms.DeliverTime.Observe(d)
 		}
 	}
-	stats.Bytes = rr.InputOffset()
-	return stats, nil
+	p.commit(r, "ok", nil, deliverNS)
+	if err != nil {
+		if errors.Is(err, ErrStop) {
+			return true, nil
+		}
+		return true, err
+	}
+	return false, nil
+}
+
+// commit assembles a verdict-bearing record's trace from the contributions
+// read and evaluate stamped on the Result, stores it in the flight-recorder
+// ring, and routes it to the slow-record callback when it crossed the
+// threshold. Commits happen in route only, so the ring sees records in
+// delivery order.
+func (p *pipeline) commit(r *Result, outcome string, cause error, deliverNS int64) {
+	if !p.sink.Enabled() {
+		return
+	}
+	rt := trace.RecordTrace{Index: r.Index, Path: r.Path.String(),
+		SplitNS: r.splitNS, EvalNS: r.evalNS, DeliverNS: deliverNS,
+		Nodes: r.Nodes, Matches: len(r.Matches), Outcome: outcome,
+		Events: r.events, RequestID: p.cfg.RequestID}
+	r.events = nil
+	if cause != nil {
+		rt.Error = cause.Error()
+	}
+	rt.TotalNS = rt.SplitNS + rt.EvalNS + rt.DeliverNS
+	p.cfg.Trace.Commit(rt)
+	if p.cfg.OnSlow != nil && p.cfg.SlowThreshold > 0 && rt.TotalNS >= int64(p.cfg.SlowThreshold) {
+		p.cfg.OnSlow(rt)
+	}
+}
+
+// runInline is the one-worker pipeline: the caller's goroutine reads,
+// evaluates, and routes one record at a time — no goroutines, no channels,
+// no batching (a match is delivered as soon as its record is evaluated),
+// and no allocation per record.
+func (p *pipeline) runInline(ctx context.Context) error {
+	// The arena and Result ride in a pooled single-item batch so
+	// back-to-back runs reuse warm storage: one short stream never
+	// amortizes cold chunk growth on its own.
+	b := getBatch(1)
+	defer batchPool.Put(b)
+	it := &b.items[0]
+	for {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		b.arena.Reset()
+		if err := p.read(ctx, &b.arena, it); err != nil {
+			if err == io.EOF {
+				return nil
+			}
+			return err
+		}
+		tombstone := it.res.fail != nil
+		p.evaluate(it)
+		if done, err := p.route(&it.res); done {
+			return err
+		}
+		if tombstone {
+			// The policy skipped a splitter failure: resume past it. A
+			// failed Recover stays sticky in the reader, so the next read
+			// turns it into a stream-fatal tombstone.
+			_ = p.rr.Recover()
+		}
+	}
 }
 
 // defaultBatchSize is the auto records-per-handoff for parallel runs: big
@@ -721,32 +797,30 @@ func getBatch(batchSize int) *batch {
 	return b
 }
 
-// runParallel fans batches of records out to a bounded worker pool and
-// reorders them for in-order delivery. Batch objects (workers+2 of them,
+// runParallel wraps the stage functions in goroutines: a producer calls
+// read to fill batches, a bounded worker pool calls evaluate on them, and
+// this goroutine — the collector — reorders finished batches and calls
+// route on each slot in document order. Batch objects (workers+2 of them,
 // each owning one arena) are the memory bound: the producer blocks until a
 // delivered batch is recycled. Workers publish finished batches into a
 // sequence-indexed reorder ring with a non-blocking wakeup, so delivery
 // order costs no per-record channel exchange and workers never block on a
 // slow collector.
 //
-// Failure containment keeps the policy on the collector: evaluation
-// failures replace the worker's matches on the item's Result; splitter
-// failures become tombstone items closing out the current batch (so
-// in-order delivery never stalls on the failed index) while the producer
-// blocks on the tombstone's await channel for the verdict — recovery
-// rewires the reader's state, so the producer cannot run ahead of the
-// decision.
-func runParallel(ctx context.Context, r io.Reader, ropts xmlhedge.RecordOptions, qs []*core.CompiledQuery, workers int, cfg Config, ms *metrics.Stream, sink *trace.EventSink, yield func(*Result) error) (Stats, error) {
+// A tombstone closes out its batch, so in-order delivery never stalls on
+// the failed index. After a recoverable one the producer blocks on the
+// tombstone's await channel for route's verdict — recovery rewires the
+// reader's state, so the producer cannot run ahead of the decision. After
+// a stream-fatal one it stops reading; route aborts the run when it
+// reaches the slot.
+func (p *pipeline) runParallel(ctx context.Context, r io.Reader, ropts xmlhedge.RecordOptions, workers int) error {
 	ictx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	// The splitter polls the internal context, so cancellation (external or
 	// failure-induced) interrupts even a mid-record read.
 	ropts.Ctx = ictx
-	rr := xmlhedge.NewRecordReader(r, ropts)
-	pol := cfg.OnRecordError
-	tracing := sink.Enabled()
-	timed := ms != nil || tracing
-	batchSize := cfg.BatchSize
+	p.rr = xmlhedge.NewRecordReader(r, ropts)
+	batchSize := p.cfg.BatchSize
 	if batchSize <= 0 {
 		batchSize = defaultBatchSize
 	}
@@ -769,31 +843,9 @@ func runParallel(ctx context.Context, r io.Reader, ropts xmlhedge.RecordOptions,
 	ring := make([]atomic.Pointer[batch], ringSize)
 	kick := make(chan struct{}, 1) // non-blocking wakeup: ring slot filled
 
-	var (
-		bytes    atomic.Int64
-		pre      atomic.Int64
-		errMu    sync.Mutex
-		firstErr error
-	)
-	setErr := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
-		cancel()
-	}
-	// storeProgress publishes the producer's reader-side counters for the
-	// collector; called at every producer exit path (see prodDone ordering).
-	storeProgress := func() {
-		bytes.Store(rr.InputOffset())
-		pre.Store(rr.Prefiltered())
-	}
-
-	// Producer: split batches of records into recycled batch arenas.
-	// prodDone orders the producer's final storeProgress before the
-	// collector's loads — without it the collector could observe a stale
-	// offset when cancellation ends the run mid-Read.
+	// Producer: fill batches of records into recycled batch arenas. It is
+	// the reader's only user; prodDone orders its last use before the
+	// caller reads the reader's final offsets.
 	prodDone := make(chan struct{})
 	go pprof.Do(ictx, pprof.Labels("xpe.stage", "stream-split"), func(ictx context.Context) {
 		defer close(prodDone)
@@ -807,95 +859,53 @@ func runParallel(ctx context.Context, r io.Reader, ropts xmlhedge.RecordOptions,
 			seq++
 			jobs <- b
 		}
-		var t0 time.Time
 		for {
 			var b *batch
 			select {
 			case b = <-free:
 			case <-ictx.Done():
-				storeProgress()
 				return
 			}
 			b.arena.Reset()
 			b.n = 0
 			for b.n < batchSize {
-				if timed {
-					t0 = time.Now()
-				}
-				rec, err := rr.Read(&b.arena)
-				var splitNS int64
-				if timed {
-					d := time.Since(t0)
-					splitNS = int64(d)
-					if ms != nil {
-						ms.SplitTime.Observe(d)
-					}
-				}
-				if err != nil {
-					if err == io.EOF || ictx.Err() != nil {
-						// EOF: ship what the batch holds and end the stream.
-						// Cancellation: the run's outcome is decided
-						// elsewhere; the partial batch is abandoned.
-						if err == io.EOF && b.n > 0 {
-							flush(b)
-						} else {
-							free <- b // cap nBatches: never blocks
-						}
-						storeProgress()
-						return
-					}
-					if pol == nil || !rr.CanRecover() {
-						// Stream-fatal: records already split still reach
-						// delivery ahead of the abort.
-						if b.n > 0 {
-							flush(b)
-						} else {
-							free <- b
-						}
-						setErr(err)
-						storeProgress()
-						return
-					}
-					// Recoverable: close out the batch with a tombstone item
-					// and wait for the collector's in-order verdict before
-					// touching the reader again.
-					fail := recordFailure(rr, err)
-					it := &b.items[b.n]
-					b.n++
-					it.res.reset()
-					it.res.Index, it.res.Path, it.res.Nodes = fail.Index, fail.Path, 0
-					it.res.splitNS, it.res.evalNS, it.res.events = splitNS, 0, sink.Drain()
-					it.res.fail = fail
-					it.res.await = verdict
-					flush(b)
-					select {
-					case d := <-verdict:
-						if d != nil {
-							// The collector aborted with the policy's error.
-							storeProgress()
-							return
-						}
-					case <-ictx.Done():
-						storeProgress()
-						return
-					}
-					if rerr := rr.Recover(); rerr != nil {
-						if ictx.Err() == nil {
-							setErr(rerr)
-						}
-						storeProgress()
-						return
-					}
-					b = nil
-					break // batch flushed with the tombstone; start a fresh one
-				}
 				it := &b.items[b.n]
+				if err := p.read(ictx, &b.arena, it); err != nil {
+					// EOF: ship what the batch holds and end the stream.
+					// Cancellation: the run's outcome is decided elsewhere;
+					// the partial batch is abandoned.
+					if err == io.EOF && b.n > 0 {
+						flush(b)
+					} else {
+						free <- b // cap nBatches: never blocks
+					}
+					return
+				}
 				b.n++
-				it.rec = rec
-				// fail/await must be cleared here: the worker's tombstone
-				// check reads them before safeEvaluate's reset runs.
-				it.res.fail, it.res.await = nil, nil
-				it.res.splitNS, it.res.evalNS, it.res.events = splitNS, 0, sink.Drain()
+				if it.res.fail == nil {
+					continue
+				}
+				_, recoverable := it.res.fail.(*RecordError)
+				if recoverable {
+					it.res.await = verdict
+				}
+				flush(b)
+				if !recoverable {
+					return
+				}
+				select {
+				case d := <-verdict:
+					if d != nil {
+						return // route aborted the run with the policy's error
+					}
+				case <-ictx.Done():
+					return
+				}
+				// A failed Recover stays sticky in the reader: the next
+				// read turns it into a stream-fatal tombstone.
+				_ = p.rr.Recover()
+				b = nil
+				break // batch flushed with the tombstone; start a fresh one
 			}
 			if b != nil {
 				flush(b)
@@ -913,29 +923,11 @@ func runParallel(ctx context.Context, r io.Reader, ropts xmlhedge.RecordOptions,
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go pprof.Do(ictx, pprof.Labels("xpe.stage", "stream-eval", "xpe.worker", strconv.Itoa(w)), func(ictx context.Context) {
+		go pprof.Do(ictx, pprof.Labels("xpe.stage", "stream-eval", "xpe.worker", strconv.Itoa(w)), func(context.Context) {
 			defer wg.Done()
-			var t0 time.Time
 			for b := range jobs {
 				for i := 0; i < b.n; i++ {
-					it := &b.items[i]
-					if it.res.fail != nil {
-						continue // splitter tombstone: nothing to evaluate
-					}
-					if timed {
-						t0 = time.Now()
-					}
-					if evalErr := safeEvaluate(qs, &it.rec, &it.res, &cfg); evalErr != nil {
-						it.res.fail = evalErr
-					}
-					if timed {
-						d := time.Since(t0)
-						it.res.evalNS = int64(d)
-						if ms != nil {
-							ms.EvalTime.Observe(d)
-							ms.RecordLatency.Observe(d)
-						}
-					}
+					p.evaluate(&b.items[i])
 				}
 				ring[b.seq&ringMask].Store(b)
 				select {
@@ -951,101 +943,12 @@ func runParallel(ctx context.Context, r io.Reader, ropts xmlhedge.RecordOptions,
 		close(workersDone)
 	}()
 
-	// Collector (this goroutine): consume the ring in sequence order, apply
-	// the error policy in document order, and deliver. Policy callbacks run
-	// here only, so a user-supplied OnRecordError is never invoked
-	// concurrently.
-	var stats Stats
-	var t0 time.Time
-	failed := false
-	// commit assembles a verdict-bearing record's trace from the
-	// contributions stamped on the Result by the producer and worker.
-	// Commits happen here only, so the ring sees records in delivery order
-	// and OnSlow is never invoked concurrently.
-	commit := func(r *Result, outcome string, cause error, deliverNS int64) {
-		if !tracing {
-			return
-		}
-		rt := trace.RecordTrace{Index: r.Index, Path: r.Path.String(),
-			SplitNS: r.splitNS, EvalNS: r.evalNS, DeliverNS: deliverNS,
-			Nodes: r.Nodes, Matches: len(r.Matches), Outcome: outcome,
-			Events: r.events}
-		if cause != nil {
-			rt.Error = cause.Error()
-		}
-		commitTrace(&cfg, rt)
-	}
-	// processItem routes one in-order result: the failure policy for
-	// tombstones and evaluation failures, the yield callback for healthy
-	// records. In failed mode everything is drained undelivered; a blocked
-	// tombstone producer is released by the cancellation, not by an answer.
-	processItem := func(r *Result) {
-		if failed {
-			return
-		}
-		if r.fail != nil {
-			rerr := r.fail.(*RecordError)
-			if _, isPanic := rerr.Err.(*PanicError); isPanic {
-				stats.Recovered++
-				if ms != nil {
-					ms.PanicsRecovered.Inc()
-				}
-			}
-			if errors.Is(rerr.Err, ErrRecordTimeout) {
-				stats.TimedOut++
-				if ms != nil {
-					ms.RecordsTimedOut.Inc()
-				}
-			}
-			var verdict error
-			if pol == nil {
-				verdict = r.fail
-			} else {
-				verdict = pol(rerr)
-			}
-			if verdict == nil {
-				stats.Skipped++
-				if ms != nil {
-					ms.RecordsSkipped.Inc()
-				}
-				commit(r, "skipped", rerr, 0)
-			} else {
-				commit(r, "aborted", verdict, 0)
-			}
-			if r.await != nil {
-				r.await <- verdict
-				r.await = nil
-			}
-			if verdict != nil {
-				setErr(verdict)
-				failed = true
-			}
-			return
-		}
-		stats.Records++
-		stats.Nodes += int64(r.Nodes)
-		stats.Matches += int64(len(r.Matches))
-		if timed {
-			t0 = time.Now()
-		}
-		err := yield(r)
-		var deliverNS int64
-		if timed {
-			d := time.Since(t0)
-			deliverNS = int64(d)
-			if ms != nil {
-				ms.DeliverTime.Observe(d)
-			}
-		}
-		commit(r, "ok", nil, deliverNS)
-		if err != nil {
-			if !errors.Is(err, ErrStop) {
-				setErr(err)
-			}
-			cancel()
-			failed = true
-		}
-	}
+	// Collector (this goroutine): consume the ring in sequence order and
+	// route each slot. Once the run has ended, everything still in flight
+	// is drained undelivered; a producer blocked on a tombstone is released
+	// by the cancellation, not by an answer.
+	var runErr error
+	ended := false
 	next := 0
 	for {
 		b := ring[next&ringMask].Load()
@@ -1063,9 +966,17 @@ func runParallel(ctx context.Context, r io.Reader, ropts xmlhedge.RecordOptions,
 		}
 		ring[next&ringMask].Store(nil)
 		next++
-		for i := 0; i < b.n; i++ {
-			processItem(&b.items[i].res)
-			b.items[i].res.events = nil
+		for i := 0; i < b.n && !ended; i++ {
+			res := &b.items[i].res
+			done, err := p.route(res)
+			if res.await != nil {
+				res.await <- err // nil: skipped, resume reading
+				res.await = nil
+			}
+			if done {
+				runErr, ended = err, true
+				cancel()
+			}
 		}
 		// Recycle: free's capacity equals the total batch count, so the
 		// send cannot block even after the producer has exited.
@@ -1085,13 +996,8 @@ drained:
 			drainedFree = true
 		}
 	}
-	stats.Bytes = bytes.Load()
-	stats.Prefiltered = pre.Load()
-	errMu.Lock()
-	err := firstErr
-	errMu.Unlock()
-	if err == nil {
-		err = ctx.Err()
+	if runErr == nil {
+		runErr = ctx.Err()
 	}
-	return stats, err
+	return runErr
 }

@@ -18,14 +18,17 @@ import (
 // workers, no record limits).
 type SelectOptions struct {
 	// Workers is the number of concurrent record-evaluation workers; <= 0
-	// means GOMAXPROCS, 1 forces the zero-allocation sequential loop.
-	// Matches are delivered in document order regardless.
+	// means GOMAXPROCS. Every worker count runs the same record pipeline:
+	// 1 runs its stages inline on the calling goroutine, one record at a
+	// time, with no goroutines and no per-record allocation; more wrap the
+	// stages in goroutines that hand off batches of records. Matches are
+	// delivered in document order regardless.
 	Workers int
-	// BatchSize is the number of records per worker handoff in parallel
-	// runs: 0 picks the default (currently 32), 1 restores record-at-a-time
+	// BatchSize is the number of records per worker handoff when Workers
+	// > 1: 0 picks the default (currently 32), 1 restores record-at-a-time
 	// handoff. Larger batches amortize scheduling costs per record but
 	// raise peak memory (O(largest record × BatchSize × (Workers+2))) and
-	// delivery latency on slow producers. Sequential runs ignore it.
+	// delivery latency on slow producers. A one-worker run ignores it.
 	BatchSize int
 	// ReuseBuffers opts into zero-copy delivery: StreamMatch.Path, .Term,
 	// and .RecordPath are views into per-run buffers recycled between

@@ -164,8 +164,8 @@ func TestSelectStreamTrace(t *testing.T) {
 }
 
 // TestSelectStreamRequestID pins the correlation contract: a RequestID
-// set on the options is stamped onto every committed trace (both the
-// sequential and parallel collectors) and onto slow-record routing.
+// set on the options is stamped onto every committed trace (at one worker
+// and at several) and onto slow-record routing.
 func TestSelectStreamRequestID(t *testing.T) {
 	eng, q := streamEngine(t)
 	for _, workers := range []int{1, 4} {
